@@ -22,8 +22,9 @@ The loop also serves **evolving networks**: an ``evolution`` schedule
 of ``(round, NetworkDelta)`` events applies network growth between
 query rounds through the attached session's generalized delta seam —
 bought labels are preserved, dirty feature columns are refreshed in
-place (or re-extracted on the next streamed block pass), and the next
-round's scores reflect the drifted network exactly.
+place (or, on a streamed task, only the dirtied blocks are re-extracted
+on the next block pass), and the next round's scores reflect the
+drifted network exactly.
 
 Long fits can be made durable with a
 :class:`~repro.store.checkpoint.SessionCheckpoint`: the loop snapshots
@@ -500,8 +501,12 @@ class ActiveIter(IterMPMD):
         are per-candidate vectors either way).  With
         ``refresh_features=True`` queried positives are folded into the
         task's session as sparse delta anchor updates; the next block
-        pass re-extracts against the refreshed anchor set, so there is
-        no feature matrix to rewrite.
+        pass re-extracts only the blocks the update dirtied, so there is
+        no feature matrix to rewrite.  Every other pass — the rounds'
+        Gram, right-hand-side and score sweeps — is served from the
+        task's block cache.  The task itself is never mutated (the
+        clamped label set is a copy), so one task can serve several
+        fits.
         """
         if self.session is not None and self.session is not task.session:
             raise ModelError(

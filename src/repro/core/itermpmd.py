@@ -272,8 +272,8 @@ class IterMPMD(AlignmentModel):
 
         The materialized path passes the prefactorized
         :class:`~repro.ml.ridge.RidgeSolver` and a dense ``X @ w``; the
-        streamed path passes Gram-solver closures that re-extract
-        feature blocks per pass.  The loop itself — and therefore every
+        streamed path passes Gram-solver closures over the task's
+        cached feature blocks.  The loop itself — and therefore every
         label decision — is identical.
         """
         free_indices = state.free_indices

@@ -391,7 +391,7 @@ class AlignmentSession:
         self._compaction_epoch = 0
         self._pair_snapshot: Optional[AlignedPair] = None
         # Monotonic delta epoch + bounded log of per-event dirty user
-        # rows/cols; lets streamed consumers rescore only dirty blocks.
+        # rows/cols; lets streamed tasks re-extract only dirty blocks.
         self._delta_epoch = 0
         self._delta_log: List[
             Tuple[int, Optional[np.ndarray], Optional[np.ndarray]]
@@ -483,7 +483,7 @@ class AlignmentSession:
         return list(self._evolution_log)
 
     # ------------------------------------------------------------------
-    # Dirty-region tracking (consumed by streamed score caches)
+    # Dirty-region tracking (consumed by streamed block caches)
     # ------------------------------------------------------------------
     @property
     def delta_epoch(self) -> int:

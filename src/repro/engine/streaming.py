@@ -1,13 +1,13 @@
-"""Streamed alignment tasks: the fit path without the |H| x d matrix.
+"""Streamed alignment tasks: the fit path without a dense |H| x d fit.
 
 An :class:`~repro.core.base.AlignmentTask` freezes the candidate space H
 together with its dense feature matrix ``X`` — fine for sampled tasks,
 prohibitive when H approaches the |U1| x |U2| cross product.
 :class:`StreamedAlignmentTask` is the block-streamed analog: it keeps
-the candidate list and the labeled indices, but features are
-(re-)extracted block by block from the owning
-:class:`~repro.engine.session.AlignmentSession` on every pass, and the
-only dense objects ever produced are
+the candidate list and the labeled indices, extracts features block by
+block from the owning :class:`~repro.engine.session.AlignmentSession`,
+and folds every model step over the block stream.  The only dense
+objects a fit produces are
 
 * the d x d (weighted) Gram matrix ``XᵀΩX`` and d-vectors ``Xᵀt``
   accumulated for the closed-form ridge step,
@@ -17,16 +17,30 @@ only dense objects ever produced are
 * per-candidate *vectors* over H (scores, labels) that the alternating
   loop needs anyway.
 
-The full ``|H| x d`` matrix is never allocated; peak feature memory is
-``block_size x d`` per in-flight block (times the executor window when
-extraction fans out across threads).  All block passes merge results in
-stream order, so a threaded run is byte-identical to a serial one.
+**Block cache.**  Meta-diagram features depend only on the session's
+anchors and networks, so a block's rows stay bit-identical until an
+update touches its left rows or right columns.  The task therefore
+keeps every extracted block together with the session
+:attr:`~repro.engine.session.AlignmentSession.delta_epoch` it was
+extracted at, and a pass re-extracts only the *stale* blocks — those
+:meth:`~repro.engine.session.AlignmentSession.dirty_since` marks (all of
+them when it answers ``None``).  Every ``gram``/``xt_dot``/``scores``
+pass of an alternating fit is served from the cache, so each candidate
+row is extracted once per session epoch rather than once per pass.  The
+cache costs ``|H| x d`` float64 per task — about 2 MB for a
+``large``-scale split — held in RAM, or spilled to a task-private
+:class:`~repro.store.arena.MatrixArena` beside a store-backed session's
+arena and served as read-only memory maps whose pages are released
+after every pass.  Served blocks are read-only either way: a consumer
+that writes in place raises instead of corrupting later passes.
 
 Two distinct exactness guarantees apply.  *Threaded vs serial* is
-bit-exact by construction (identical operations in identical order).
-*Streamed vs materialized* is bit-exact only in the single-block case,
-where the accumulated Gram/rhs reduce to the very same dense products;
-with several blocks the partial-sum order differs from one dense BLAS
+bit-exact by construction (identical operations in identical order), and
+so is *cached vs re-extracted*: the cache hands back the very bytes an
+extraction would produce, in the same block order.  *Streamed vs
+materialized* is bit-exact only in the single-block case, where the
+accumulated Gram/rhs reduce to the very same dense products; with
+several blocks the partial-sum order differs from one dense BLAS
 product, so weights agree to rounding error and the equality of query
 sets and labels — asserted throughout the test suite — holds because
 both paths are deterministic and candidate scores are never within an
@@ -41,8 +55,20 @@ records for the streamed query strategies — no extraction involved.
 from __future__ import annotations
 
 import logging
+import shutil
+import tempfile
 import time
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+import weakref
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -51,6 +77,7 @@ from repro.engine.candidates import CandidateBlock, CandidateGenerator
 from repro.engine.session import AlignmentSession
 from repro.exceptions import ModelError
 from repro.ml.backends import LinearModelState, apply_model_state, gather_rows
+from repro.store.arena import MatrixArena
 from repro.store.procwork import (
     BlockDescriptor,
     extract_block_job,
@@ -158,6 +185,9 @@ class StreamedAlignmentTask:
     labeled_indices, labeled_values:
         Known-label positions in the concatenated candidate order and
         their 0/1 values, exactly as on ``AlignmentTask``.
+
+    Models read a task but never mutate it, so one task — and its block
+    cache — can serve several fits on the same split.
     """
 
     def __init__(
@@ -202,26 +232,18 @@ class StreamedAlignmentTask:
             raise ModelError(f"labels must be 0/1, got {sorted(bad)}")
         self._pair_index: Optional[dict] = None
         self._descriptors: Optional[List[BlockDescriptor]] = None
+        self._descriptors_compaction = session.compaction_epoch
         #: Block size the task was built with (set by :meth:`from_pairs`;
         #: ``None`` when blocks came from a generator or explicit list).
         self.block_size: Optional[int] = None
-        #: Re-probe the auto block size every N block passes (set by
-        #: :meth:`from_pairs`; ``None`` keeps the construction-time size).
-        self.retune_every: Optional[int] = None
-        #: Times the auto size was re-probed and the stream re-chopped.
-        self.retunes: int = 0
-        self._passes_since_tune = 0
-        # Last whole-of-H score vector: (weights, scores, session delta
-        # epoch).  A rescore under identical weights re-extracts only
-        # the blocks the session marked dirty since the epoch.
-        self._score_cache: Optional[
-            Tuple[np.ndarray, np.ndarray, int]
-        ] = None
-        #: Rescore telemetry: full passes, dirty-block-only passes, and
-        #: how many blocks the partial passes actually re-extracted.
-        self.full_score_passes = 0
-        self.partial_score_passes = 0
-        self.blocks_rescored = 0
+        # The block cache: each block's read-only features and the
+        # session delta epoch they are known to be current at (``None``
+        # until first extracted).
+        self._cache: List[Optional[np.ndarray]] = [None] * len(self.blocks)
+        self._cache_epochs: List[Optional[int]] = [None] * len(self.blocks)
+        self._cache_arena: Optional[MatrixArena] = None
+        #: Blocks (re-)extracted into the cache over the task's lifetime.
+        self.blocks_extracted = 0
 
     # ------------------------------------------------------------------
     # AlignmentTask-compatible surface (what models and the alternating
@@ -264,7 +286,13 @@ class StreamedAlignmentTask:
     # Block passes
     # ------------------------------------------------------------------
     def _block_descriptors(self) -> List[BlockDescriptor]:
-        """Picklable index-form descriptors of the blocks (cached)."""
+        """Picklable index-form descriptors of the blocks.
+
+        Cached until the session compacts, which shifts user positions.
+        """
+        if self._descriptors_compaction != self.session.compaction_epoch:
+            self._descriptors = None
+            self._descriptors_compaction = self.session.compaction_epoch
         if self._descriptors is None:
             self._descriptors = []
             for offset, block in zip(self.offsets, self.blocks):
@@ -276,86 +304,143 @@ class StreamedAlignmentTask:
                 )
         return self._descriptors
 
-    def _maybe_retune(self) -> None:
-        """Re-probe the auto block size every ``retune_every`` passes.
+    def _stale_blocks(self, wanted: Sequence[int], epoch: int) -> List[int]:
+        """Blocks of ``wanted`` whose cached rows may be out of date.
 
-        Streamed-fit backpressure: the construction-time measurement
-        goes stale under drifting load (deltas densify counts, caches
-        warm up, co-tenants come and go), so the task re-measures
-        throughput periodically and re-chops the *same* candidate order
-        into blocks of the new size.  Labeled indices and score vectors
-        are over the concatenated order, which never changes — only the
-        partition does, and the streamed strategies select identically
-        for any partition.
+        A block extracted at an older epoch stays valid when the dirty
+        region the session logged since then misses its left rows and
+        right columns (its epoch is then advanced to ``epoch``); an
+        unknown region (``dirty_since`` answering ``None``) makes every
+        such block stale.
         """
-        if self.retune_every is None or self.block_size is None:
-            return
-        self._passes_since_tune += 1
-        if self._passes_since_tune < self.retune_every:
-            return
-        self._passes_since_tune = 0
-        new_size = tune_block_size(self.session, self.pairs)
-        if new_size == self.block_size:
-            return
-        self.block_size = new_size
-        self.blocks = blockify(self.pairs, new_size)
-        self.offsets = []
-        offset = 0
-        for block in self.blocks:
-            self.offsets.append(offset)
-            offset += len(block)
-        self._descriptors = None
-        self.retunes += 1
+        regions: Dict[int, Optional[Tuple[np.ndarray, np.ndarray]]] = {}
+        stale: List[int] = []
+        for b in dict.fromkeys(wanted):
+            cached_at = self._cache_epochs[b]
+            if cached_at == epoch:
+                continue
+            if cached_at is not None:
+                if cached_at not in regions:
+                    regions[cached_at] = self.session.dirty_since(cached_at)
+                dirty = regions[cached_at]
+                if dirty is not None:
+                    descriptor = self._block_descriptors()[b]
+                    rows, cols = dirty
+                    if not (
+                        np.isin(descriptor.left_indices, rows).any()
+                        or np.isin(descriptor.right_indices, cols).any()
+                    ):
+                        self._cache_epochs[b] = epoch
+                        continue
+            stale.append(b)
+        return stale
 
-    def feature_blocks(self) -> Iterator[Tuple[int, np.ndarray]]:
-        """Ordered ``(offset, X_block)`` stream, freshly extracted.
+    def _extract_blocks(
+        self, block_indices: List[int]
+    ) -> Iterator[Tuple[int, np.ndarray]]:
+        """Extract the given blocks through the session's executor.
 
-        Extraction fans out across the session's executor with a
-        bounded in-flight window; results arrive in stream order, so
-        sequential folds over this iterator are deterministic.  On an
-        RPC fleet that window is barrier-free (protocol v3): block
-        jobs flow into per-worker pipeline windows straight from this
-        generator, with no chunk boundary stalling the stream while a
-        slow consumer (an incremental fit folding block by block)
-        drains it.
-
-        With an executor whose work leaves this interpreter
-        (:attr:`~repro.engine.parallel.Executor.crosses_processes` —
-        the process pool or the RPC fleet) and a store-backed session,
-        each pass first flushes a consistent snapshot to the arena and
-        then ships only block *descriptors* to the workers — matrices
-        reach them as shared memory maps (or the content-addressed
-        sync), and the extraction kernel is the session's own, so the
-        stream is byte-identical to the in-process one.
+        Extraction fans out with a bounded in-flight window and results
+        arrive in the given order.  With an executor whose work leaves
+        this interpreter (:attr:`~repro.engine.parallel.Executor.crosses_processes`
+        — the process pool or the RPC fleet) and a store-backed
+        session, the pass first flushes a consistent snapshot to the
+        arena and ships only block *descriptors*; the worker kernel is
+        the session's own, so the blocks are byte-identical to an
+        in-process extraction.
         """
-        self._maybe_retune()
         executor = self.session.executor
         if executor.crosses_processes and self.session.arena is not None:
             spec = self.session.flush_store()
+            descriptors = self._block_descriptors()
             logger.debug(
-                "streaming %d block descriptor(s) across %s executor",
-                len(self.blocks),
+                "extracting %d block descriptor(s) across %s executor",
+                len(block_indices),
                 executor.kind,
             )
             return executor.imap(
                 extract_block_job,
-                ((spec, descriptor) for descriptor in self._block_descriptors()),
+                ((spec, descriptors[b]) for b in block_indices),
             )
 
-        def extract(item: Tuple[int, CandidateBlock]):
-            offset, block = item
-            return offset, self.session.extract(block)
+        def extract(b: int) -> Tuple[int, np.ndarray]:
+            return self.offsets[b], self.session.extract(self.blocks[b])
 
-        return executor.imap(extract, zip(self.offsets, self.blocks))
+        return executor.imap(extract, block_indices)
+
+    def _cache_block(self, b: int, X: np.ndarray, epoch: int) -> None:
+        """Keep block ``b``'s features, read-only, as current at ``epoch``.
+
+        A store-backed session spills the block to a task-private arena
+        next to its own and keeps only the memory map.  The private
+        arena keeps cached blocks out of the manifest that process and
+        RPC workers load and sync, and is deleted with the task.
+        """
+        if self.session.arena is None:
+            X = np.asarray(X, dtype=np.float64)
+            X.flags.writeable = False
+        else:
+            if self._cache_arena is None:
+                path = tempfile.mkdtemp(
+                    prefix="streamed-blocks-", dir=self.session.store_dir
+                )
+                self._cache_arena = MatrixArena(path)
+                weakref.finalize(self, shutil.rmtree, path, True)
+            slot = f"block-{b}"
+            self._cache_arena.put_array(slot, X)
+            X = self._cache_arena.get_array(slot)
+        self._cache[b] = X
+        self._cache_epochs[b] = epoch
+        self.blocks_extracted += 1
+
+    def _served_blocks(
+        self, wanted: Sequence[int]
+    ) -> Iterator[Tuple[int, np.ndarray]]:
+        """Ordered ``(offset, X_block)`` for ``wanted``, from the cache.
+
+        Stale blocks are re-extracted as the stream reaches them (the
+        executor window keeps extraction ahead of the consumer) and
+        cached at the epoch read *before* extraction, so a concurrent
+        update can only make the cache look staler than it is.
+        """
+        epoch = self.session.delta_epoch
+        stale = self._stale_blocks(wanted, epoch)
+        pending = set(stale)
+        fresh: Iterator[Tuple[int, np.ndarray]] = iter(())
+        if stale:
+            logger.debug(
+                "block pass: %d of %d block(s) stale", len(stale), len(wanted)
+            )
+            fresh = self._extract_blocks(stale)
+        try:
+            for b in wanted:
+                if b in pending:
+                    pending.discard(b)
+                    _, X = next(fresh)
+                    self._cache_block(b, X, epoch)
+                yield self.offsets[b], self._cache[b]
+        finally:
+            if self._cache_arena is not None:
+                self._cache_arena.release_pages()
+
+    def feature_blocks(self) -> Iterator[Tuple[int, np.ndarray]]:
+        """Ordered ``(offset, X_block)`` stream of every block.
+
+        Served from the block cache; only blocks an update made stale
+        since they were cached are re-extracted (see
+        :meth:`_extract_blocks` for the executor seam).  Blocks are
+        read-only, and results arrive in stream order, so sequential
+        folds over this iterator are deterministic.
+        """
+        return self._served_blocks(range(self.n_blocks))
 
     def block_spans(self) -> List[Tuple[int, int]]:
         """``(offset, length)`` of every block in stream order.
 
         The cheap partition map consumers capture before a selective
         pass: it reads no features, so a working-set fit can decide
-        which blocks it needs without touching the arena.  The spans
-        stay valid until the next full :meth:`feature_blocks` pass (the
-        only place auto-retune may re-chop the stream).
+        which blocks it needs without touching the arena.  The
+        partition is fixed for the task's lifetime.
         """
         return [
             (offset, len(block))
@@ -365,37 +450,18 @@ class StreamedAlignmentTask:
     def selected_feature_blocks(
         self, block_indices: Sequence[int]
     ) -> Iterator[Tuple[int, np.ndarray]]:
-        """Extract only the requested blocks, in the given order.
+        """Serve only the requested blocks, in the given order.
 
         The working-set fit path: blocks whose every remaining dual is
-        screened out are simply not in ``block_indices`` and are never
-        read from the session (or the arena behind it).  Honors the same
-        executor seam as :meth:`feature_blocks` — cross-process
-        executors receive picklable descriptors against the flushed
-        store — but never re-tunes the partition, so offsets stay
-        aligned with the :meth:`block_spans` the caller captured.
+        screened out are simply not in ``block_indices`` and are neither
+        read from the cache nor re-extracted.  Requested blocks follow
+        the same cache rule as :meth:`feature_blocks`.
         """
         wanted = [int(b) for b in block_indices]
         for b in wanted:
             if b < 0 or b >= len(self.blocks):
                 raise ModelError(f"block index {b} out of range")
-        executor = self.session.executor
-        if executor.crosses_processes and self.session.arena is not None:
-            spec = self.session.flush_store()
-            descriptors = self._block_descriptors()
-            return executor.imap(
-                extract_block_job,
-                ((spec, descriptors[b]) for b in wanted),
-            )
-
-        def extract(item: Tuple[int, CandidateBlock]):
-            offset, block = item
-            return offset, self.session.extract(block)
-
-        return executor.imap(
-            extract,
-            ((self.offsets[b], self.blocks[b]) for b in wanted),
-        )
+        return self._served_blocks(wanted)
 
     def gram(
         self, sample_weight: Optional[np.ndarray] = None
@@ -424,72 +490,20 @@ class StreamedAlignmentTask:
         return result
 
     def scores(self, weights: np.ndarray) -> np.ndarray:
-        """Whole-of-H raw scores ``ŷ = Xw``, one block at a time.
-
-        The last score vector is cached together with its weights and
-        the session's delta epoch.  A repeat call with the *same*
-        weights after a sparse session update (an anchor round, a
-        network delta) re-extracts only the **dirty blocks** — those
-        whose left rows or right columns the update touched — and reuses
-        the rest byte-for-byte; feature rows outside the dirty region
-        are bit-identical by the delta algebra's exactness, so the
-        partial rescore equals a full sweep exactly.  New weights, an
-        unknown epoch, or a full invalidation fall back to the full
-        sweep.
-        """
+        """Whole-of-H raw scores ``ŷ = Xw``, one block at a time."""
         weights = np.asarray(weights, dtype=np.float64).ravel()
         if weights.shape[0] != self.n_features:
             raise ModelError(
                 f"weight length {weights.shape[0]} does not match "
                 f"{self.n_features} features"
             )
-        epoch = self.session.delta_epoch
-        cached = self._score_cache
-        if cached is not None and np.array_equal(cached[0], weights):
-            if cached[2] == epoch:
-                return cached[1].copy()
-            dirty = self.session.dirty_since(cached[2])
-            if dirty is not None:
-                return self._rescore_dirty(weights, cached[1], dirty, epoch)
         scores = np.empty(self.n_candidates, dtype=np.float64)
         for offset, X in self.feature_blocks():
             scores[offset: offset + X.shape[0]] = X @ weights
-        self.full_score_passes += 1
-        self._score_cache = (weights.copy(), scores.copy(), epoch)
-        return scores
-
-    def _rescore_dirty(
-        self,
-        weights: np.ndarray,
-        cached_scores: np.ndarray,
-        dirty: Tuple[np.ndarray, np.ndarray],
-        epoch: int,
-    ) -> np.ndarray:
-        """Re-extract and re-score only the blocks a delta touched."""
-        rows, cols = dirty
-        scores = cached_scores.copy()
-        rescored = 0
-        for descriptor, block in zip(self._block_descriptors(), self.blocks):
-            if not (
-                np.isin(descriptor.left_indices, rows).any()
-                or np.isin(descriptor.right_indices, cols).any()
-            ):
-                continue
-            X = self.session.extract(block)
-            scores[descriptor.offset: descriptor.offset + len(block)] = (
-                X @ weights
-            )
-            rescored += 1
-        self.partial_score_passes += 1
-        self.blocks_rescored += rescored
-        logger.debug(
-            "partial rescore: %d of %d block(s) dirty", rescored, len(self.blocks)
-        )
-        self._score_cache = (weights.copy(), scores.copy(), epoch)
         return scores
 
     def labeled_rows(self) -> np.ndarray:
-        """``X[labeled_indices]`` gathered in one block pass.
+        """``X[labeled_indices]`` gathered in one (cached) block pass.
 
         A convenience over :func:`~repro.ml.backends.gather_rows` for
         parity checks and custom consumers.  Row values are copied
@@ -512,7 +526,8 @@ class StreamedAlignmentTask:
         (:func:`~repro.store.procwork.model_score_block_job`), so SVM
         decision passes and landmark transforms fan across processes;
         the worker kernel is the same function, so results are
-        byte-identical to the inline sweep.
+        byte-identical to the inline sweep.  The inline sweep scores
+        the cached blocks.
         """
         executor = self.session.executor
         scores = np.empty(self.n_candidates, dtype=np.float64)
@@ -560,23 +575,12 @@ class StreamedAlignmentTask:
         labeled_indices: np.ndarray,
         labeled_values: np.ndarray,
         block_size: BlockSizeSpec = 4096,
-        retune_every: Optional[int] = None,
     ) -> "StreamedAlignmentTask":
         """Build from a flat candidate list, chopped into blocks.
 
         ``block_size="auto"`` replaces the fixed knob with a measured
-        probe extraction (:func:`tune_block_size`); ``retune_every=N``
-        additionally re-probes every N block passes and re-chops the
-        stream — backpressure for drifting load (see
-        :meth:`_maybe_retune`).
+        probe extraction (:func:`tune_block_size`).
         """
-        if retune_every is not None:
-            if block_size != AUTO_BLOCK_SIZE:
-                raise ModelError(
-                    f"retune_every requires block_size={AUTO_BLOCK_SIZE!r}"
-                )
-            if retune_every < 1:
-                raise ModelError("retune_every must be >= 1")
         pairs = list(pairs)
         resolved = resolve_block_size(session, pairs, block_size)
         task = cls(
@@ -586,7 +590,6 @@ class StreamedAlignmentTask:
             labeled_values,
         )
         task.block_size = resolved
-        task.retune_every = retune_every
         return task
 
     @classmethod

@@ -28,7 +28,7 @@ Three backends implement the protocol:
   :class:`~repro.ml.ridge.GramRidgeSolver`, byte-identical to the
   previous hardwired path (it delegates to the source's own
   ``gram``/``xt_dot``/``scores`` fast paths when no feature map is
-  configured, preserving the dirty-block score cache);
+  configured, so passes are served from the task's block cache);
 * :class:`SVMBackend` — a soft-margin linear SVM over streamed blocks,
   trained by :class:`StreamedLinearSVC`: the same LIBLINEAR dual
   coordinate descent as :class:`~repro.ml.svm.LinearSVC` but
@@ -957,9 +957,10 @@ class RidgeBackend(ModelBackend):
     path: ``begin`` factorizes the source's block-accumulated
     ``XᵀΩX`` through :class:`~repro.ml.ridge.GramRidgeSolver`,
     ``fit`` solves against the block-accumulated right-hand side, and
-    ``scores`` delegates to the source's own score sweep (keeping the
-    streamed task's dirty-block rescore cache).  With a feature map the
-    same accumulations run over mapped blocks.
+    ``scores`` delegates to the source's own score sweep.  On a
+    streamed task all three read its block cache, so an alternating fit
+    extracts each block once per session epoch, not once per pass.
+    With a feature map the same accumulations run over mapped blocks.
     """
 
     kind = "ridge"

@@ -406,11 +406,11 @@ class TestStreamedDirtyBlocks:
         )
         weights = np.linspace(-0.5, 0.5, session.n_features)
         first = task.scores(weights)
-        assert task.full_score_passes == 1
+        assert task.blocks_extracted == task.n_blocks
         session.apply_network_delta(_grow_delta(pair, "left"))
         rescored = task.scores(weights)
-        assert task.partial_score_passes == 1
-        assert 0 < task.blocks_rescored <= task.n_blocks
+        reextracted = task.blocks_extracted - task.n_blocks
+        assert 0 < reextracted <= task.n_blocks
 
         reference_session = AlignmentSession(pair, known_anchors=anchors)
         reference = StreamedAlignmentTask.from_pairs(
@@ -421,6 +421,7 @@ class TestStreamedDirtyBlocks:
             block_size=64,
         )
         assert np.array_equal(rescored, reference.scores(weights))
+        assert np.array_equal(task.gram(), reference.gram())
         assert not np.array_equal(first, rescored)
 
     def test_same_epoch_serves_cache(self, fresh_pair):
@@ -438,10 +439,12 @@ class TestStreamedDirtyBlocks:
         weights = np.linspace(-0.5, 0.5, session.n_features)
         first = task.scores(weights)
         again = task.scores(weights)
-        assert task.full_score_passes == 1
+        task.gram()
+        task.xt_dot(np.ones(task.n_candidates))
+        assert task.blocks_extracted == task.n_blocks
         assert np.array_equal(first, again)
 
-    def test_new_weights_force_full_pass(self, fresh_pair):
+    def test_new_weights_reextract_nothing(self, fresh_pair):
         pair = fresh_pair
         session = AlignmentSession(
             pair, known_anchors=sorted(pair.anchors, key=repr)[:5]
@@ -455,46 +458,73 @@ class TestStreamedDirtyBlocks:
         )
         task.scores(np.linspace(-0.5, 0.5, session.n_features))
         task.scores(np.linspace(-0.4, 0.6, session.n_features))
-        assert task.full_score_passes == 2
+        assert task.blocks_extracted == task.n_blocks
 
-
-class TestRetune:
-    def test_retune_rechops_and_keeps_order(self, fresh_pair):
+    def test_compaction_remaps_dirty_checks(self, fresh_pair):
+        """After compaction shifts user positions, dirty checks follow."""
         pair = fresh_pair
-        session = AlignmentSession(
-            pair, known_anchors=sorted(pair.anchors, key=repr)[:5]
+        anchors = sorted(pair.anchors, key=repr)
+        left, right = pair.left_users(), pair.right_users()
+        session = AlignmentSession(pair, known_anchors=anchors[:5])
+        session.apply_network_delta(
+            NetworkDelta.build(
+                "left",
+                added_nodes={"user": ["evo:a", "evo:b"]},
+                added_edges=[("follow", "evo:a", left[0])]
+                + [("follow", "evo:b", anchor[0]) for anchor in anchors[:3]],
+            )
         )
-        candidates = _candidates(pair)
+        session.apply_network_delta(
+            NetworkDelta.build("left", removed_nodes={"user": ["evo:a"]})
+        )
+        # One-pair blocks: evo:b's new follow edge changes its row sum,
+        # so some of its blocks are dirty only through their (shifted)
+        # left row, not through a dirty right column.
+        candidates = [(u, v) for u in left[:2] for v in right[:4]] + [
+            ("evo:b", v) for v in right
+        ]
         task = StreamedAlignmentTask.from_pairs(
             session,
             candidates,
             np.array([0], dtype=np.int64),
             np.array([1], dtype=np.int64),
-            block_size="auto",
-            retune_every=1,
+            block_size=1,
         )
         weights = np.linspace(-0.5, 0.5, session.n_features)
-        before = task.scores(weights)
-        task._score_cache = None  # force a genuine second block pass
-        after = task.scores(weights)
-        assert task.pairs == candidates  # order never changes
-        assert sum(len(block) for block in task.blocks) == len(candidates)
-        assert np.array_equal(before, after)
-
-    def test_retune_requires_auto(self, fresh_pair):
-        from repro.exceptions import ModelError
-
-        pair = fresh_pair
-        session = AlignmentSession(pair)
-        with pytest.raises(ModelError, match="auto"):
-            StreamedAlignmentTask.from_pairs(
-                session,
-                _candidates(pair),
-                np.array([], dtype=np.int64),
-                np.array([], dtype=np.int64),
-                block_size=64,
-                retune_every=2,
+        task.scores(weights)
+        session.add_anchors(anchors[5:6])
+        task.scores(weights)  # dirty check against pre-compaction slots
+        assert session.compact()
+        task.scores(weights)
+        session.apply_network_delta(
+            NetworkDelta.build(
+                "left",
+                added_edges=[("follow", "evo:b", anchors[3][0])],
             )
+        )
+        expected = np.concatenate(
+            [session.extract(block) @ weights for block in task.blocks]
+        )
+        assert np.array_equal(task.scores(weights), expected)
+
+    def test_served_blocks_are_read_only(self, fresh_pair):
+        pair = fresh_pair
+        session = AlignmentSession(
+            pair, known_anchors=sorted(pair.anchors, key=repr)[:5]
+        )
+        task = StreamedAlignmentTask.from_pairs(
+            session,
+            _candidates(pair),
+            np.array([0], dtype=np.int64),
+            np.array([1], dtype=np.int64),
+            block_size=64,
+        )
+        _, X = next(iter(task.feature_blocks()))
+        with pytest.raises(ValueError, match="read-only"):
+            X[0, 0] = 1.0
+        _, X = next(iter(task.selected_feature_blocks([1])))
+        with pytest.raises(ValueError, match="read-only"):
+            X *= 2.0
 
 
 class TestScriptedSchedule:

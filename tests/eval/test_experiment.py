@@ -131,6 +131,31 @@ class TestRunSplit:
         )
         assert results["dense"][0].as_dict() == results["streamed"][0].as_dict()
 
+    def test_streamed_lineup_shares_one_warmed_task(
+        self, tiny_synthetic_pair, split
+    ):
+        """Streamed methods of one block size share a task whose cache
+        is filled once, before the fits; reports match solo runs."""
+        from repro.engine import AlignmentSession
+
+        lineup = [
+            MethodSpec(name="active", kind="active", budget=5,
+                       streamed=True, stream_block_size=32),
+            MethodSpec(name="iter", kind="iterative", streamed=True,
+                       stream_block_size=32),
+            MethodSpec(name="svm", kind="svm", streamed=True,
+                       stream_block_size=32),
+        ]
+        with AlignmentSession(tiny_synthetic_pair) as session:
+            shared = run_split(
+                tiny_synthetic_pair, split, lineup, seed=0, session=session
+            )
+            n_blocks = -(-len(split.candidates) // 32)
+            assert session.stats.extract_calls == n_blocks
+        for spec in lineup:
+            solo = run_split(tiny_synthetic_pair, split, [spec], seed=0)
+            assert solo[spec.name][0].as_dict() == shared[spec.name][0].as_dict()
+
     def test_streamed_iterative_runs(self, tiny_synthetic_pair, split):
         spec = MethodSpec(
             name="iter-streamed", kind="iterative", streamed=True,
