@@ -46,6 +46,18 @@ class CommitteeQueryStrategy:
         self.seed = int(seed)
         self._round = 0
 
+    def snapshot_state(self) -> dict:
+        """Picklable round counter for checkpoint/resume.
+
+        Each round's bootstrap RNG is seeded from ``seed + round``, so a
+        resumed run must continue the count to buy the same links.
+        """
+        return {"round": self._round}
+
+    def restore_state(self, state: dict) -> None:
+        """Restore a :meth:`snapshot_state` payload."""
+        self._round = int(state["round"])
+
     def select(
         self,
         pairs: Sequence[LinkPair],

@@ -10,12 +10,13 @@ so no model can accidentally peek.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.active.strategies import ScoredBlock
 from repro.exceptions import ModelError, NotFittedError
-from repro.types import LinkPair
+from repro.types import LinkPair, labeled_set
 
 
 @dataclass
@@ -39,10 +40,11 @@ class AlignmentTask:
     labeled_indices: np.ndarray
     labeled_values: np.ndarray
 
+    #: Materialized features are frozen in ``X``; no session backs them.
+    session = None
+
     def __post_init__(self) -> None:
         self.X = np.asarray(self.X, dtype=np.float64)
-        self.labeled_indices = np.asarray(self.labeled_indices, dtype=np.int64)
-        self.labeled_values = np.asarray(self.labeled_values, dtype=np.int64)
         if self.X.ndim != 2 or self.X.shape[0] != len(self.pairs):
             raise ModelError(
                 f"X shape {self.X.shape} does not match {len(self.pairs)} pairs"
@@ -53,18 +55,9 @@ class AlignmentTask:
                 f"feature matrix contains {bad} non-finite entries "
                 "(NaN/inf); refusing to fit on corrupted features"
             )
-        if self.labeled_indices.shape != self.labeled_values.shape:
-            raise ModelError("labeled indices/values must align")
-        if self.labeled_indices.size:
-            if self.labeled_indices.min() < 0 or self.labeled_indices.max() >= len(
-                self.pairs
-            ):
-                raise ModelError("labeled index out of range")
-            if len(set(self.labeled_indices.tolist())) != self.labeled_indices.size:
-                raise ModelError("labeled indices contain duplicates")
-        bad = set(np.unique(self.labeled_values).tolist()) - {0, 1}
-        if bad:
-            raise ModelError(f"labels must be 0/1, got {sorted(bad)}")
+        self.labeled_indices, self.labeled_values = labeled_set(
+            self.labeled_indices, self.labeled_values, len(self.pairs)
+        )
 
     @property
     def n_candidates(self) -> int:
@@ -87,6 +80,17 @@ class AlignmentTask:
     def negative_indices(self) -> np.ndarray:
         """Indices of known negative candidates."""
         return self.labeled_indices[self.labeled_values == 0]
+
+    def scored_blocks(
+        self,
+        scores: np.ndarray,
+        labels: np.ndarray,
+        queryable: np.ndarray,
+    ) -> Iterator[ScoredBlock]:
+        """The whole candidate space as one strategy-facing block."""
+        yield ScoredBlock(
+            pairs=self.pairs, scores=scores, labels=labels, queryable=queryable
+        )
 
     def index_of(self, pair: LinkPair) -> int:
         """Index of a candidate pair (built lazily, cached)."""

@@ -38,13 +38,14 @@ Two distinct exactness guarantees apply.  *Threaded vs serial* is
 bit-exact by construction (identical operations in identical order), and
 so is *cached vs re-extracted*: the cache hands back the very bytes an
 extraction would produce, in the same block order.  *Streamed vs
-materialized* is bit-exact only in the single-block case, where the
-accumulated Gram/rhs reduce to the very same dense products; with
-several blocks the partial-sum order differs from one dense BLAS
-product, so weights agree to rounding error and the equality of query
-sets and labels — asserted throughout the test suite — holds because
-both paths are deterministic and candidate scores are never within an
-ulp of a decision boundary on real count features, not as an algebraic
+materialized* is not bit-exact: a materialized task is fit through the
+prefactorized :class:`~repro.ml.ridge.RidgeSolver`, whose right-hand
+side is ``(XᵀΩ)y``, while a streamed task accumulates ``Xᵀ(Ωy)`` block
+by block — even a single block differs in the last bits.  Weights and
+scores agree to rounding error; the equality of query sets and labels
+— asserted throughout the test suite — holds because both paths are
+deterministic and candidate scores are never within an ulp of a
+decision boundary on real count features, not as an algebraic
 identity.
 
 :meth:`StreamedAlignmentTask.scored_blocks` re-slices whole-of-H score
@@ -83,7 +84,7 @@ from repro.store.procwork import (
     extract_block_job,
     model_score_block_job,
 )
-from repro.types import LinkPair
+from repro.types import LinkPair, labeled_set
 
 logger = logging.getLogger(__name__)
 
@@ -212,24 +213,9 @@ class StreamedAlignmentTask:
             self.offsets.append(offset)
             offset += len(block)
 
-        self.labeled_indices = np.asarray(labeled_indices, dtype=np.int64)
-        self.labeled_values = np.asarray(labeled_values, dtype=np.int64)
-        if self.labeled_indices.shape != self.labeled_values.shape:
-            raise ModelError("labeled indices/values must align")
-        if self.labeled_indices.size:
-            if (
-                self.labeled_indices.min() < 0
-                or self.labeled_indices.max() >= len(self.pairs)
-            ):
-                raise ModelError("labeled index out of range")
-            if (
-                len(set(self.labeled_indices.tolist()))
-                != self.labeled_indices.size
-            ):
-                raise ModelError("labeled indices contain duplicates")
-        bad = set(np.unique(self.labeled_values).tolist()) - {0, 1}
-        if bad:
-            raise ModelError(f"labels must be 0/1, got {sorted(bad)}")
+        self.labeled_indices, self.labeled_values = labeled_set(
+            labeled_indices, labeled_values, len(self.pairs)
+        )
         self._pair_index: Optional[dict] = None
         self._descriptors: Optional[List[BlockDescriptor]] = None
         self._descriptors_compaction = session.compaction_epoch

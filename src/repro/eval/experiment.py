@@ -85,8 +85,8 @@ class MethodSpec:
         materialized feature matrix.  Valid for every kind — active and
         iterative fits stream through the model-backend seam, and the
         SVM baselines gather only their labeled training rows.  Results
-        match the materialized path (byte-identically for SVMs and the
-        single-block ridge; selected query sets always agree).
+        match the materialized path (byte-identically for SVMs; ridge
+        labels and query sets agree, scores to rounding error).
     stream_block_size:
         Candidate block size of the streamed fit path; ``"auto"`` tunes
         it from a measured probe extraction.

@@ -23,11 +23,12 @@ run through the very same backend code.
 
 Three backends implement the protocol:
 
-* :class:`RidgeBackend` — the existing closed-form ridge, rehomed: the
+* :class:`RidgeBackend` — the paper's closed-form ridge: a dense
+  source is fit through the prefactorized
+  :class:`~repro.ml.ridge.RidgeSolver`, any other through the
   block-accumulated Gram system of
-  :class:`~repro.ml.ridge.GramRidgeSolver`, byte-identical to the
-  previous hardwired path (it delegates to the source's own
-  ``gram``/``xt_dot``/``scores`` fast paths when no feature map is
+  :class:`~repro.ml.ridge.GramRidgeSolver` (delegating to the source's
+  own ``gram``/``xt_dot``/``scores`` fast paths when no feature map is
   configured, so passes are served from the task's block cache);
 * :class:`SVMBackend` — a soft-margin linear SVM over streamed blocks,
   trained by :class:`StreamedLinearSVC`: the same LIBLINEAR dual
@@ -67,7 +68,7 @@ from repro.ml.kernels import (
     feature_map_from_state,
     make_feature_map,
 )
-from repro.ml.ridge import GramRidgeSolver
+from repro.ml.ridge import GramRidgeSolver, RidgeSolver
 from repro.ml.scaling import StandardScaler
 from repro.ml.svm import _unshrink_verify, dual_coordinate_descent
 from repro.obs.metrics import global_registry
@@ -953,14 +954,17 @@ class ModelBackend:
 class RidgeBackend(ModelBackend):
     """The paper's closed-form ridge, behind the backend seam.
 
-    Without a feature map this is byte-for-byte the pre-seam streamed
-    path: ``begin`` factorizes the source's block-accumulated
-    ``XᵀΩX`` through :class:`~repro.ml.ridge.GramRidgeSolver`,
-    ``fit`` solves against the block-accumulated right-hand side, and
-    ``scores`` delegates to the source's own score sweep.  On a
-    streamed task all three read its block cache, so an alternating fit
-    extracts each block once per session epoch, not once per pass.
-    With a feature map the same accumulations run over mapped blocks.
+    Without a feature map, a :class:`DenseBlockSource` is fit through
+    :class:`~repro.ml.ridge.RidgeSolver`: the prefactorized closed form
+    with its ``(XᵀΩ)y`` right-hand side and a dense ``Xw`` score, so
+    materialized fits keep the solver's exact operation order.  Any
+    other source works from its block-accumulated ``XᵀΩX`` through
+    :class:`~repro.ml.ridge.GramRidgeSolver`: ``fit`` solves against
+    the block-accumulated right-hand side ``Xᵀ(Ωy)`` and ``scores``
+    delegates to the source's own score sweep.  On a streamed task all
+    three read its block cache, so an alternating fit extracts each
+    block once per session epoch, not once per pass.  With a feature
+    map the same accumulations run over mapped blocks.
     """
 
     kind = "ridge"
@@ -972,6 +976,7 @@ class RidgeBackend(ModelBackend):
             raise ModelError(f"loss weight c must be > 0, got {c}")
         self.c = float(c)
         self._solver: Optional[GramRidgeSolver] = None
+        self._dense: Optional[RidgeSolver] = None
         self._sample_weight: Optional[np.ndarray] = None
 
     def begin(self, source, sample_weight=None, train_indices=None) -> None:
@@ -983,6 +988,12 @@ class RidgeBackend(ModelBackend):
         self._source = source
         self._sample_weight = sample_weight
         self._ensure_map(source)
+        self._solver = self._dense = None
+        if self.feature_map is None and isinstance(source, DenseBlockSource):
+            self._dense = RidgeSolver(
+                source.X, c=self.c, sample_weight=sample_weight
+            )
+            return
         if self.feature_map is None and hasattr(source, "gram"):
             gram = source.gram(sample_weight)
         else:
@@ -1001,6 +1012,8 @@ class RidgeBackend(ModelBackend):
         self._solver = GramRidgeSolver(gram, c=self.c)
 
     def fit(self, y: np.ndarray) -> np.ndarray:
+        if self._dense is not None:
+            return self._dense.solve(y)
         if self._solver is None or self._source is None:
             raise NotFittedError("RidgeBackend.begin has not been called")
         y = np.asarray(y, dtype=np.float64).ravel()
@@ -1015,6 +1028,8 @@ class RidgeBackend(ModelBackend):
         return self._solver.solve_rhs(rhs)
 
     def scores(self, weights: np.ndarray) -> np.ndarray:
+        if self._dense is not None:
+            return self._dense.predict(weights)
         if self._source is None:
             raise NotFittedError("RidgeBackend.begin has not been called")
         if self.feature_map is None and hasattr(self._source, "scores"):

@@ -336,7 +336,9 @@ class TestEvolutionResume:
 
 
 class TestRandomStrategyResume:
-    def test_rng_state_round_trips(self, split_setup, tmp_path):
+    @pytest.mark.parametrize("strategy_name", ["random", "committee"])
+    def test_rng_state_round_trips(self, split_setup, tmp_path, strategy_name):
+        from repro.active.committee import CommitteeQueryStrategy
         from repro.active.strategies import RandomQueryStrategy
 
         pair, split, positives = split_setup
@@ -352,9 +354,15 @@ class TestRandomStrategyResume:
                 labeled_indices=split.train_indices,
                 labeled_values=split.truth[split.train_indices],
             )
+            if strategy_name == "random":
+                strategy = RandomQueryStrategy(seed=5)
+            else:
+                strategy = CommitteeQueryStrategy(n_members=3, seed=5).bind(
+                    task.X
+                )
             model = ActiveIter(
                 LabelOracle(positives, budget=10),
-                strategy=RandomQueryStrategy(seed=5),
+                strategy=strategy,
                 batch_size=2,
                 session=session,
                 refresh_features=True,
