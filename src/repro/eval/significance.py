@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.eval.experiment import ExperimentOutcome
 from repro.exceptions import ExperimentError
@@ -128,7 +127,9 @@ def compare_methods(
     values_a, values_b = _paired_metric_values(outcome, method_a, method_b, metric)
     differences = values_a - values_b
     if differences.size >= 2 and np.ptp(differences) > 0:
-        t_statistic, p_value = stats.ttest_rel(values_a, values_b)
+        from scipy.stats import ttest_rel
+
+        t_statistic, p_value = ttest_rel(values_a, values_b)
     else:
         t_statistic, p_value = float("nan"), float("nan")
     ci_low, ci_high = bootstrap_mean_ci(

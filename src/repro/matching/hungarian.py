@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.exceptions import ConstraintViolationError
 from repro.types import LinkPair, NodeId
@@ -73,6 +72,8 @@ def exact_link_selection(
         if scores[index] > utility[i, j]:
             utility[i, j] = scores[index]
             candidate_at[(i, j)] = index
+
+    from scipy.optimize import linear_sum_assignment
 
     row_ind, col_ind = linear_sum_assignment(-utility)
     for i, j in zip(row_ind, col_ind):

@@ -38,7 +38,6 @@ from itertools import combinations_with_replacement
 from typing import Dict, Iterable, List, Optional
 
 import numpy as np
-from scipy import linalg
 
 from repro.exceptions import ModelError, NotFittedError
 
@@ -340,7 +339,9 @@ class NystroemMap:
             raise ModelError("cannot fit NystroemMap on zero rows")
         landmarks = np.vstack(reservoir)
         gram = self._kernel_matrix(landmarks, landmarks)
-        values, vectors = linalg.eigh(gram)
+        from scipy.linalg import eigh
+
+        values, vectors = eigh(gram)
         keep = values > max(float(values.max()), 0.0) * self.rcond
         if not keep.any():
             raise ModelError("landmark kernel matrix is numerically zero")

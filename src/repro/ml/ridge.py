@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy import linalg
 
 from repro.exceptions import ModelError
 
@@ -48,9 +47,11 @@ class GramRidgeSolver:
         self.c = float(c)
         self.n_features = gram.shape[0]
         system = np.eye(self.n_features) + self.c * gram
+        from scipy.linalg import cho_factor
+
         try:
-            self._cho = linalg.cho_factor(system, lower=True)
-        except linalg.LinAlgError as error:  # pragma: no cover - defensive
+            self._cho = cho_factor(system, lower=True)
+        except np.linalg.LinAlgError as error:  # pragma: no cover - defensive
             raise ModelError(f"ridge system is singular: {error}") from error
 
     def solve_rhs(self, xty: np.ndarray) -> np.ndarray:
@@ -61,7 +62,9 @@ class GramRidgeSolver:
                 f"right-hand side length {xty.shape[0]} does not match "
                 f"{self.n_features} features"
             )
-        return linalg.cho_solve(self._cho, self.c * xty)
+        from scipy.linalg import cho_solve
+
+        return cho_solve(self._cho, self.c * xty)
 
 
 class RidgeSolver:

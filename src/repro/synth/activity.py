@@ -6,6 +6,18 @@ platform, the post's attributes are drawn from the same profile — this is
 the mechanism that makes anchored account pairs share location/timestamp/
 word co-occurrences (the signal meta paths P5/P6 and the attribute meta
 diagrams exploit), while non-anchored pairs agree only by chance.
+
+Posts are drawn in batches, one batch per member, on the caller's
+generator.  A post is a sequence of ``rng.random()`` doubles: a presence
+gate per timestamp/location, then (if present) a noise gate and one
+choice draw, then one draw per word.  ``Generator.choice(a, p=p)`` with
+replacement is ``searchsorted`` of one such double in ``p``'s normalized
+cdf, so :meth:`ActivityModel.sample_posts` can resolve every choice of
+the batch with one ``searchsorted`` per attribute.  It snapshots the bit
+generator, draws the most doubles ``n_posts`` posts can use, walks the
+gates to find how many they did use, rewinds the generator and consumes
+exactly that many.  The posts, and the stream state the caller goes on
+with, are those of drawing the posts one at a time, call by call.
 """
 
 from __future__ import annotations
@@ -100,6 +112,8 @@ class ActivityModel:
         self.zipf_exponent = zipf_exponent
         self._location_background = _zipf_weights(n_locations, zipf_exponent)
         self._time_background = _zipf_weights(n_time_bins, zipf_exponent)
+        self._location_cdf = _cdf(self._location_background)
+        self._time_cdf = _cdf(self._time_background)
 
     def sample_profile(self, person: int, rng: np.random.Generator) -> PersonProfile:
         """Draw one person's habitual locations, times and vocabulary.
@@ -152,37 +166,123 @@ class ActivityModel:
         timestamp_rate: float = 1.0,
         n_words: int = 3,
     ) -> PostDraw:
-        """Draw one post's attributes from a profile.
+        """Draw one post's attributes from a profile (see :meth:`sample_posts`)."""
+        return self.sample_posts(
+            profile,
+            1,
+            rng,
+            attribute_noise=attribute_noise,
+            checkin_rate=checkin_rate,
+            timestamp_rate=timestamp_rate,
+            n_words=n_words,
+        )[0]
 
-        With probability ``attribute_noise`` each of timestamp/location is
-        replaced by a uniform background draw, modeling out-of-habit
-        activity.  Attributes are independently present with the given
-        rates (not every tweet has a check-in).
+    def sample_posts(
+        self,
+        profile: PersonProfile,
+        n_posts: int,
+        rng: np.random.Generator,
+        attribute_noise: float = 0.0,
+        checkin_rate: float = 1.0,
+        timestamp_rate: float = 1.0,
+        n_words: int = 3,
+    ) -> List[PostDraw]:
+        """Draw ``n_posts`` posts' attributes from a profile in one batch.
+
+        Each of timestamp/location is present with its rate; a present
+        one is replaced by a background draw with probability
+        ``attribute_noise`` (out-of-habit activity), else drawn from the
+        profile's habits.  Each post carries the distinct words of
+        ``n_words`` draws from the personal vocabulary.
+
+        The posts and the state ``rng`` is left in are exactly those of
+        drawing the posts one at a time, gate by gate, with
+        ``rng.random()`` and ``rng.choice`` (see the module docstring).
         """
-        timestamp: Optional[int] = None
-        if rng.random() < timestamp_rate:
-            if rng.random() < attribute_noise:
-                timestamp = int(
-                    rng.choice(self.n_time_bins, p=self._time_background)
-                )
+        if n_posts == 0:
+            return []
+        state = rng.bit_generator.state
+        uniforms = rng.random(n_posts * (6 + n_words))
+        rng.bit_generator.state = state
+        u = uniforms.tolist()
+
+        # Walk the gates to find where each post's draws sit in the
+        # stream; a failed presence gate skips its noise and choice draw.
+        time_draws: List[Tuple[int, bool, int]] = []
+        location_draws: List[Tuple[int, bool, int]] = []
+        word_at = []
+        at = 0
+        for post in range(n_posts):
+            if u[at] < timestamp_rate:
+                time_draws.append((post, u[at + 1] < attribute_noise, at + 2))
+                at += 3
             else:
-                timestamp = int(
-                    rng.choice(profile.time_bins, p=profile.time_bin_weights)
-                )
-        location: Optional[int] = None
-        if rng.random() < checkin_rate:
-            if rng.random() < attribute_noise:
-                location = int(
-                    rng.choice(self.n_locations, p=self._location_background)
-                )
+                at += 1
+            if u[at] < checkin_rate:
+                location_draws.append((post, u[at + 1] < attribute_noise, at + 2))
+                at += 3
             else:
-                location = int(
-                    rng.choice(profile.locations, p=profile.location_weights)
-                )
-        words: Tuple[int, ...] = ()
+                at += 1
+            word_at.append(at)
+            at += n_words
+        rng.random(at)
+
+        timestamps = _resolve_choices(
+            uniforms, n_posts, time_draws, self._time_cdf,
+            profile.time_bins, profile.time_bin_weights,
+        )
+        locations = _resolve_choices(
+            uniforms, n_posts, location_draws, self._location_cdf,
+            profile.locations, profile.location_weights,
+        )
         if n_words > 0:
-            drawn = rng.choice(
-                profile.words, size=n_words, replace=True, p=profile.word_weights
-            )
-            words = tuple(int(w) for w in np.unique(drawn))
-        return PostDraw(timestamp=timestamp, location=location, words=words)
+            draws = uniforms[np.asarray(word_at)[:, None] + np.arange(n_words)]
+            cdf = _cdf(profile.word_weights)
+            drawn = profile.words[cdf.searchsorted(draws, side="right")]
+            drawn.sort(axis=1)
+            words = [tuple(dict.fromkeys(row)) for row in drawn.tolist()]
+        else:
+            words = [()] * n_posts
+        return [
+            PostDraw(timestamp=timestamp, location=location, words=post_words)
+            for timestamp, location, post_words in zip(timestamps, locations, words)
+        ]
+
+
+def _cdf(weights: np.ndarray) -> np.ndarray:
+    """The cdf ``Generator.choice`` searches for ``p=weights``."""
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _resolve_choices(
+    uniforms: np.ndarray,
+    n_posts: int,
+    draws: List[Tuple[int, bool, int]],
+    background_cdf: np.ndarray,
+    items: np.ndarray,
+    weights: np.ndarray,
+) -> List[Optional[int]]:
+    """Per-post values of one attribute's choice draws, ``None`` if absent.
+
+    ``draws`` holds ``(post, noisy, offset)``: the double at ``offset`` of
+    ``uniforms`` indexes the background vocabulary if ``noisy``, else the
+    profile's ``items`` under ``weights``.
+    """
+    values: List[Optional[int]] = [None] * n_posts
+    if not draws:
+        return values
+    posts, noisy, at = zip(*draws)
+    picks = uniforms[list(at)]
+    noisy_mask = np.array(noisy)
+    chosen = np.empty(len(draws), dtype=np.int64)
+    chosen[noisy_mask] = background_cdf.searchsorted(
+        picks[noisy_mask], side="right"
+    )
+    chosen[~noisy_mask] = items[
+        _cdf(weights).searchsorted(picks[~noisy_mask], side="right")
+    ]
+    for post, value in zip(posts, chosen.tolist()):
+        values[post] = value
+    return values

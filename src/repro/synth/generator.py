@@ -66,19 +66,20 @@ def _build_platform(
 
     post_counter = 0
     for person in members:
-        profile = profiles[person]
         n_posts = int(rng.poisson(platform.posts_per_user_mean))
-        for _ in range(n_posts):
-            draw = activity.sample_post(
-                profile,
-                rng,
-                attribute_noise=platform.post_attribute_noise,
-                checkin_rate=platform.checkin_rate,
-                timestamp_rate=platform.timestamp_rate,
-                n_words=platform.words_per_post,
-            )
+        draws = activity.sample_posts(
+            profiles[person],
+            n_posts,
+            rng,
+            attribute_noise=platform.post_attribute_noise,
+            checkin_rate=platform.checkin_rate,
+            timestamp_rate=platform.timestamp_rate,
+            n_words=platform.words_per_post,
+        )
+        author = _user_id(platform, person)
+        for draw in draws:
             builder.post(
-                _user_id(platform, person),
+                author,
                 post_id=f"{platform.name}:p{post_counter}",
                 timestamp=draw.timestamp,
                 location=draw.location,

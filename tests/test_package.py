@@ -1,5 +1,10 @@
 """Package-level tests: exceptions hierarchy, types, public API surface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -92,3 +97,24 @@ class TestPublicApi:
         for info in pkgutil.walk_packages(package.__path__, prefix="repro."):
             module = importlib.import_module(info.name)
             assert module.__doc__, f"{info.name} lacks a module docstring"
+
+
+class TestImportCost:
+    def test_cli_import_leaves_heavy_scipy_submodules_unloaded(self):
+        """Only the code that solves, decomposes or tests imports them."""
+        heavy = ("scipy.stats", "scipy.optimize", "scipy.linalg")
+        source = Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(source))
+        completed = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.cli; "
+                f"print(sorted(m for m in {heavy!r} if m in sys.modules))",
+            ],
+            env=env,
+            check=True,
+            capture_output=True,
+            text=True,
+        )
+        assert completed.stdout.strip() == "[]"
