@@ -19,19 +19,34 @@ per round.
 
 All strategies share one interface so models can swap them (the paper's
 ActiveIter-Rand variant, plus a classic margin/uncertainty strategy kept
-for ablations).
+for ablations).  Each has one implementation, ``select_streamed`` over
+a stream of :class:`ScoredBlock` slices; ``select`` runs it over the
+whole of H as one block.
+
+The conflict rule runs as one join over integer user codes
+(:func:`~repro.matching.constraints.user_codes`).  Two links conflict
+iff they share a left or a right user, i.e. iff their left or right
+codes are equal, so pairing each queryable negative with every positive
+of its left code and every positive of its right code lists exactly the
+(l, l') pairs the rule inspects; a positive listed twice changes
+nothing below.  Group offsets come from ``bincount`` + ``cumsum`` over
+the positives' codes.  The near miss is an OR and the best dominance a
+max over the joined pairs, each pair computing ``|ŷ_l' − ŷ_l|`` and
+``ŷ_l − ŷ_l''`` in the same float64 operations as a per-link loop.  OR
+and max do not depend on evaluation order, so the picks equal the
+loop's exactly; ties break by global index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Protocol, Sequence, Tuple
+from typing import Iterable, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import ReproError
-from repro.matching.constraints import conflicting_indices
-from repro.types import LinkPair, NodeId
+from repro.matching.constraints import user_codes
+from repro.types import LinkPair
 
 
 @dataclass(frozen=True)
@@ -42,6 +57,13 @@ class ScoredBlock:
     consumes a stream of these instead of materialized whole-of-H
     arrays; ``offset`` is the block's starting position in the global
     candidate order, so returned picks are global indices.
+
+    ``left_codes`` / ``right_codes`` are this block's slice of
+    :func:`~repro.matching.constraints.user_codes` computed over the
+    whole stream: one numbering per stream, so equal codes in two
+    blocks are the same user.  Tasks compute them once and slice them
+    per block.  The conflict strategy requires them and refuses a block
+    without them; the margin and random strategies ignore them.
     """
 
     pairs: Sequence[LinkPair]
@@ -49,6 +71,8 @@ class ScoredBlock:
     labels: np.ndarray
     queryable: np.ndarray
     offset: int = 0
+    left_codes: Optional[np.ndarray] = None
+    right_codes: Optional[np.ndarray] = None
 
 
 class QueryStrategy(Protocol):
@@ -85,10 +109,10 @@ class StreamedQueryStrategy(QueryStrategy, Protocol):
     """A query strategy that can also consume blockwise candidates.
 
     ``select_streamed`` must pick *exactly* the same indices as
-    ``select`` would on the concatenation of the blocks — the streamed
-    active fit asserts on that equivalence.  The built-in conflict,
-    margin and random strategies all implement it with exact top-k
-    merges across blocks.
+    ``select`` would on the concatenation of the blocks.  The built-in
+    conflict, margin and random strategies guarantee it by having one
+    implementation: their ``select`` is ``select_streamed`` over one
+    block.
     """
 
     def select_streamed(
@@ -98,20 +122,54 @@ class StreamedQueryStrategy(QueryStrategy, Protocol):
         ...
 
 
-def _validate_inputs(
-    pairs: Sequence[LinkPair],
-    scores: np.ndarray,
-    labels: np.ndarray,
-    queryable: np.ndarray,
-) -> None:
-    n = len(pairs)
-    for name, values in (
-        ("scores", scores),
-        ("labels", labels),
-        ("queryable", queryable),
-    ):
-        if np.asarray(values).ravel().shape[0] != n:
+def _block_arrays(
+    block: ScoredBlock,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A block's validated ``(scores, labels, queryable)`` vectors."""
+    n = len(block.pairs)
+    arrays = (
+        np.asarray(block.scores, dtype=np.float64).ravel(),
+        np.asarray(block.labels).ravel(),
+        np.asarray(block.queryable, dtype=bool).ravel(),
+    )
+    for name, values in zip(("scores", "labels", "queryable"), arrays):
+        if values.shape[0] != n:
             raise ReproError(f"{name} length does not match {n} candidates")
+    return arrays
+
+
+def _block_codes(block: ScoredBlock) -> Tuple[np.ndarray, np.ndarray]:
+    """A block's validated ``(left_codes, right_codes)``."""
+    if block.left_codes is None or block.right_codes is None:
+        raise ReproError("the conflict strategy needs user codes on every block")
+    codes = tuple(
+        np.asarray(values, dtype=np.int64).ravel()
+        for values in (block.left_codes, block.right_codes)
+    )
+    if any(values.shape[0] != len(block.pairs) for values in codes):
+        raise ReproError(f"user codes do not match {len(block.pairs)} candidates")
+    return codes
+
+
+def _code_join(
+    negative_codes: np.ndarray, positive_codes: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every ``(negative row, positive row)`` pair with equal codes.
+
+    Positives are grouped by code, with group offsets from ``bincount``
+    + ``cumsum``; each negative is repeated once per positive in its
+    code's group.
+    """
+    n_codes = max(negative_codes.max(initial=-1), positive_codes.max(initial=-1))
+    counts = np.bincount(positive_codes, minlength=n_codes + 1)
+    starts = np.cumsum(counts) - counts
+    grouped = np.argsort(positive_codes, kind="stable")
+    per_negative = counts[negative_codes]
+    rows = np.repeat(np.arange(negative_codes.size), per_negative)
+    rank_in_group = np.arange(rows.size) - np.repeat(
+        np.cumsum(per_negative) - per_negative, per_negative
+    )
+    return rows, grouped[starts[negative_codes][rows] + rank_in_group]
 
 
 class ConflictFalseNegativeStrategy:
@@ -145,108 +203,63 @@ class ConflictFalseNegativeStrategy:
         queryable: np.ndarray,
         batch_size: int,
     ) -> List[int]:
-        _validate_inputs(pairs, scores, labels, queryable)
-        scores = np.asarray(scores, dtype=np.float64).ravel()
-        labels = np.asarray(labels).ravel()
-        queryable = np.asarray(queryable, dtype=bool).ravel()
-
-        conflicts = conflicting_indices(pairs)
-        ranked: List[tuple] = []
-        for index in np.flatnonzero(queryable & (labels == 0)):
-            near_miss = False
-            best_dominance = -np.inf
-            for other in conflicts[index]:
-                if labels[other] != 1:
-                    continue
-                if abs(scores[other] - scores[index]) <= self.closeness_threshold:
-                    near_miss = True
-                dominance = scores[index] - scores[other]
-                if dominance > 0 and dominance > best_dominance:
-                    best_dominance = dominance
-            if near_miss and best_dominance > 0:
-                ranked.append((best_dominance, index))
-        ranked.sort(key=lambda item: (-item[0], item[1]))
-        picks = [index for _, index in ranked[:batch_size]]
-
-        if len(picks) < batch_size and self.allow_fallback:
-            chosen = set(picks)
-            fallback_pool = np.flatnonzero(queryable & (labels == 0))
-            fallback_order = sorted(
-                (index for index in fallback_pool if index not in chosen),
-                key=lambda index: (-scores[index], index),
-            )
-            picks.extend(fallback_order[: batch_size - len(picks)])
-        return picks
+        left, right = user_codes(pairs)
+        block = ScoredBlock(
+            pairs, scores, labels, queryable, left_codes=left, right_codes=right
+        )
+        return self.select_streamed([block], batch_size)
 
     def select_streamed(
         self, blocks: Iterable[ScoredBlock], batch_size: int
     ) -> List[int]:
-        """Blockwise :meth:`select` — identical picks, one pass over H.
+        """The conflict rule as one join over user codes (module docstring).
 
-        The one-to-one structure makes the conflict rule streamable:
-        a negative candidate conflicts only with positives sharing its
-        left or right user, so two per-user score maps accumulated
-        during the pass carry everything the ranking needs.  Buffered
-        per-candidate state is three scalars per *queryable negative* —
-        never a feature matrix.
+        Buffered state is the two codes, score and index of every
+        positive and queryable negative — never a feature matrix.
         """
-        positive_left: Dict[NodeId, List[float]] = {}
-        positive_right: Dict[NodeId, List[float]] = {}
-        negatives: List[Tuple[int, LinkPair, float]] = []
+        positives: List[tuple] = []
+        negatives: List[tuple] = []
         for block in blocks:
-            _validate_inputs(
-                block.pairs, block.scores, block.labels, block.queryable
-            )
-            scores = np.asarray(block.scores, dtype=np.float64).ravel()
-            labels = np.asarray(block.labels).ravel()
-            queryable = np.asarray(block.queryable, dtype=bool).ravel()
-            for position in np.flatnonzero(labels == 1):
-                left_user, right_user = block.pairs[position]
-                positive_left.setdefault(left_user, []).append(
-                    scores[position]
-                )
-                positive_right.setdefault(right_user, []).append(
-                    scores[position]
-                )
-            for position in np.flatnonzero(queryable & (labels == 0)):
-                negatives.append(
-                    (
-                        block.offset + int(position),
-                        block.pairs[position],
-                        scores[position],
-                    )
-                )
+            scores, labels, queryable = _block_arrays(block)
+            left, right = _block_codes(block)
+            for mask, kept in (
+                (labels == 1, positives),
+                (queryable & (labels == 0), negatives),
+            ):
+                at = np.flatnonzero(mask)
+                kept.append((left[at], right[at], scores[at], at + block.offset))
+        if not negatives:
+            return []
+        positive_left, positive_right, positive_scores, _ = map(
+            np.concatenate, zip(*positives)
+        )
+        negative_left, negative_right, negative_scores, index = map(
+            np.concatenate, zip(*negatives)
+        )
 
-        ranked: List[tuple] = []
-        for index, (left_user, right_user), score in negatives:
-            near_miss = False
-            best_dominance = -np.inf
-            conflicting = positive_left.get(left_user, [])
-            conflicting = conflicting + positive_right.get(right_user, [])
-            for other_score in conflicting:
-                if abs(other_score - score) <= self.closeness_threshold:
-                    near_miss = True
-                dominance = score - other_score
-                if dominance > 0 and dominance > best_dominance:
-                    best_dominance = dominance
-            if near_miss and best_dominance > 0:
-                ranked.append((best_dominance, index))
-        ranked.sort(key=lambda item: (-item[0], item[1]))
-        picks = [index for _, index in ranked[:batch_size]]
+        left_rows, left_others = _code_join(negative_left, positive_left)
+        right_rows, right_others = _code_join(negative_right, positive_right)
+        rows = np.concatenate([left_rows, right_rows])
+        other = positive_scores[np.concatenate([left_others, right_others])]
+        score = negative_scores[rows]
+        near_miss = np.zeros(index.size, dtype=bool)
+        np.logical_or.at(
+            near_miss, rows, np.abs(other - score) <= self.closeness_threshold
+        )
+        dominance = score - other
+        wins = dominance > 0
+        best = np.full(index.size, -np.inf)
+        np.maximum.at(best, rows[wins], dominance[wins])
 
-        if len(picks) < batch_size and self.allow_fallback:
-            chosen = set(picks)
-            fallback_order = sorted(
-                (
-                    (-score, index)
-                    for index, _, score in negatives
-                    if index not in chosen
-                ),
-            )
-            picks.extend(
-                index for _, index in fallback_order[: batch_size - len(picks)]
-            )
-        return picks
+        picks = np.flatnonzero(near_miss & (best > 0))
+        picks = picks[np.lexsort((index[picks], -best[picks]))][:batch_size]
+        if picks.size < batch_size and self.allow_fallback:
+            rest = np.ones(index.size, dtype=bool)
+            rest[picks] = False
+            rest = np.flatnonzero(rest)
+            rest = rest[np.lexsort((index[rest], -negative_scores[rest]))]
+            picks = np.concatenate([picks, rest[: batch_size - picks.size]])
+        return index[picks].tolist()
 
 
 class RandomQueryStrategy:
@@ -278,32 +291,23 @@ class RandomQueryStrategy:
         queryable: np.ndarray,
         batch_size: int,
     ) -> List[int]:
-        _validate_inputs(pairs, scores, labels, queryable)
-        pool = np.flatnonzero(np.asarray(queryable, dtype=bool).ravel())
-        if pool.size == 0:
-            return []
-        size = min(batch_size, pool.size)
-        return [int(i) for i in self._rng.choice(pool, size=size, replace=False)]
+        block = ScoredBlock(pairs, scores, labels, queryable)
+        return self.select_streamed([block], batch_size)
 
     def select_streamed(
         self, blocks: Iterable[ScoredBlock], batch_size: int
     ) -> List[int]:
-        """Blockwise :meth:`select` — same RNG draws, identical picks."""
+        """One ``choice`` draw over the stream's queryable indices."""
         pools: List[np.ndarray] = []
         for block in blocks:
-            _validate_inputs(
-                block.pairs, block.scores, block.labels, block.queryable
-            )
-            pool = np.flatnonzero(
-                np.asarray(block.queryable, dtype=bool).ravel()
-            )
+            pool = np.flatnonzero(_block_arrays(block)[2])
             if pool.size:
                 pools.append(pool + block.offset)
         if not pools:
             return []
         pool = np.concatenate(pools)
         size = min(batch_size, pool.size)
-        return [int(i) for i in self._rng.choice(pool, size=size, replace=False)]
+        return self._rng.choice(pool, size=size, replace=False).tolist()
 
 
 class MarginQueryStrategy:
@@ -324,40 +328,31 @@ class MarginQueryStrategy:
         queryable: np.ndarray,
         batch_size: int,
     ) -> List[int]:
-        _validate_inputs(pairs, scores, labels, queryable)
-        scores = np.asarray(scores, dtype=np.float64).ravel()
-        pool = np.flatnonzero(np.asarray(queryable, dtype=bool).ravel())
-        ranked = sorted(
-            pool, key=lambda index: (abs(scores[index] - self.boundary), index)
-        )
-        return [int(index) for index in ranked[:batch_size]]
+        block = ScoredBlock(pairs, scores, labels, queryable)
+        return self.select_streamed([block], batch_size)
 
     def select_streamed(
         self, blocks: Iterable[ScoredBlock], batch_size: int
     ) -> List[int]:
-        """Blockwise :meth:`select` via an exact running top-k merge.
+        """An exact top-k merge of the blocks' margins.
 
         Any global top-``k`` element is inside its own block's top-``k``
-        (margins are per-candidate), so merging each block's best ``k``
-        into a running best-``k`` list reproduces the global ranking —
-        ties broken by global index, exactly like :meth:`select`.
+        (margins are per-candidate), so ranking the union of each
+        block's best ``k`` reproduces the global ranking — ties broken
+        by global index.
         """
         if batch_size < 1:
             return []
-        best: List[Tuple[float, int]] = []
+        margins: List[np.ndarray] = []
+        indices: List[np.ndarray] = []
         for block in blocks:
-            _validate_inputs(
-                block.pairs, block.scores, block.labels, block.queryable
-            )
-            scores = np.asarray(block.scores, dtype=np.float64).ravel()
-            pool = np.flatnonzero(
-                np.asarray(block.queryable, dtype=bool).ravel()
-            )
-            if not pool.size:
-                continue
-            block_ranked = sorted(
-                (abs(scores[index] - self.boundary), block.offset + int(index))
-                for index in pool
-            )
-            best = sorted(best + block_ranked[:batch_size])[:batch_size]
-        return [index for _, index in best]
+            scores, _, queryable = _block_arrays(block)
+            pool = np.flatnonzero(queryable)
+            margin = np.abs(scores[pool] - self.boundary)
+            top = np.lexsort((pool, margin))[:batch_size]
+            margins.append(margin[top])
+            indices.append(pool[top] + block.offset)
+        if not margins:
+            return []
+        margin, index = np.concatenate(margins), np.concatenate(indices)
+        return index[np.lexsort((index, margin))[:batch_size]].tolist()

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.active.strategies import ScoredBlock
 from repro.exceptions import ModelError, NotFittedError
+from repro.matching.constraints import user_codes
 from repro.types import LinkPair, labeled_set
 
 
@@ -88,8 +89,16 @@ class AlignmentTask:
         queryable: np.ndarray,
     ) -> Iterator[ScoredBlock]:
         """The whole candidate space as one strategy-facing block."""
+        codes = getattr(self, "_user_codes", None)
+        if codes is None:
+            codes = self._user_codes = user_codes(self.pairs)
         yield ScoredBlock(
-            pairs=self.pairs, scores=scores, labels=labels, queryable=queryable
+            pairs=self.pairs,
+            scores=scores,
+            labels=labels,
+            queryable=queryable,
+            left_codes=codes[0],
+            right_codes=codes[1],
         )
 
     def index_of(self, pair: LinkPair) -> int:

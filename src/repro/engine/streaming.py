@@ -49,8 +49,9 @@ decision boundary on real count features, not as an algebraic
 identity.
 
 :meth:`StreamedAlignmentTask.scored_blocks` re-slices whole-of-H score
-and label vectors into :class:`~repro.active.strategies.ScoredBlock`
-records for the streamed query strategies — no extraction involved.
+and label vectors, and the task's user codes (computed once per task),
+into :class:`~repro.active.strategies.ScoredBlock` records for the
+streamed query strategies — no extraction involved.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ from repro.active.strategies import ScoredBlock
 from repro.engine.candidates import CandidateBlock, CandidateGenerator
 from repro.engine.session import AlignmentSession
 from repro.exceptions import ModelError
+from repro.matching.constraints import user_codes
 from repro.ml.backends import LinearModelState, apply_model_state, gather_rows
 from repro.store.arena import MatrixArena
 from repro.store.procwork import (
@@ -217,6 +219,7 @@ class StreamedAlignmentTask:
             labeled_indices, labeled_values, len(self.pairs)
         )
         self._pair_index: Optional[dict] = None
+        self._user_codes: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._descriptors: Optional[List[BlockDescriptor]] = None
         self._descriptors_compaction = session.compaction_epoch
         #: Block size the task was built with (set by :meth:`from_pairs`;
@@ -541,7 +544,10 @@ class StreamedAlignmentTask:
         labels: np.ndarray,
         queryable: np.ndarray,
     ) -> Iterator[ScoredBlock]:
-        """Re-slice whole-of-H vectors into strategy-facing blocks."""
+        """Re-slice whole-of-H vectors and user codes into blocks."""
+        if self._user_codes is None:
+            self._user_codes = user_codes(self.pairs)
+        left, right = self._user_codes
         for offset, block in zip(self.offsets, self.blocks):
             end = offset + len(block)
             yield ScoredBlock(
@@ -550,6 +556,8 @@ class StreamedAlignmentTask:
                 labels=labels[offset:end],
                 queryable=queryable[offset:end],
                 offset=offset,
+                left_codes=left[offset:end],
+                right_codes=right[offset:end],
             )
 
     # ------------------------------------------------------------------

@@ -11,6 +11,7 @@ from repro.matching.constraints import (
     degree_vectors,
     incidence_matrices,
     satisfies_one_to_one,
+    user_codes,
 )
 from repro.matching.greedy import greedy_link_selection, selection_objective
 from repro.matching.hungarian import exact_link_selection
@@ -26,4 +27,5 @@ __all__ = [
     "satisfies_one_to_one",
     "selection_objective",
     "stable_link_selection",
+    "user_codes",
 ]

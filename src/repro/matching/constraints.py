@@ -95,6 +95,28 @@ def assert_one_to_one(pairs: Sequence[LinkPair], labels: np.ndarray) -> None:
         )
 
 
+def user_codes(pairs: Sequence[LinkPair]) -> Tuple[np.ndarray, np.ndarray]:
+    """Integer codes of each candidate's left and right user.
+
+    Users are numbered in order of first appearance, separately per
+    side, so two candidates share a left (right) user iff their left
+    (right) codes are equal.  The conflict query strategy joins on them.
+    """
+    left_index: Dict[NodeId, int] = {}
+    right_index: Dict[NodeId, int] = {}
+    left = np.fromiter(
+        (left_index.setdefault(user, len(left_index)) for user, _ in pairs),
+        dtype=np.int64,
+        count=len(pairs),
+    )
+    right = np.fromiter(
+        (right_index.setdefault(user, len(right_index)) for _, user in pairs),
+        dtype=np.int64,
+        count=len(pairs),
+    )
+    return left, right
+
+
 def conflicting_indices(pairs: Sequence[LinkPair]) -> List[List[int]]:
     """For each candidate, the indices of other candidates sharing a user.
 

@@ -10,6 +10,7 @@ from repro.active.strategies import (
     ScoredBlock,
 )
 from repro.exceptions import ReproError
+from repro.matching.constraints import user_codes
 
 # Candidate layout: left users a, b; right users x, y.
 PAIRS = [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")]
@@ -17,6 +18,7 @@ PAIRS = [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")]
 
 def _blockify_inputs(pairs, scores, labels, queryable, block_size):
     """Chop whole-of-H strategy inputs into ScoredBlock records."""
+    left, right = user_codes(pairs)
     blocks = []
     for start in range(0, len(pairs), block_size):
         end = start + block_size
@@ -27,6 +29,8 @@ def _blockify_inputs(pairs, scores, labels, queryable, block_size):
                 labels=np.asarray(labels)[start:end],
                 queryable=np.asarray(queryable, dtype=bool)[start:end],
                 offset=start,
+                left_codes=left[start:end],
+                right_codes=right[start:end],
             )
         )
     return blocks
@@ -207,14 +211,62 @@ class TestSelectStreamed:
         assert RandomQueryStrategy().select_streamed([], 5) == []
 
     def test_block_validation(self):
+        left, right = user_codes(PAIRS)
         bad = ScoredBlock(
             pairs=PAIRS,
             scores=np.ones(3),
             labels=np.zeros(4),
             queryable=np.ones(4, dtype=bool),
+            left_codes=left,
+            right_codes=right,
         )
         with pytest.raises(ReproError):
             ConflictFalseNegativeStrategy().select_streamed([bad], 1)
+
+    def test_conflict_block_without_codes_refused(self):
+        block = ScoredBlock(
+            pairs=PAIRS,
+            scores=np.ones(4),
+            labels=np.zeros(4),
+            queryable=np.ones(4, dtype=bool),
+        )
+        with pytest.raises(ReproError, match="user codes"):
+            ConflictFalseNegativeStrategy().select_streamed([block], 1)
+        # Margin and random selection do not read the codes.
+        assert MarginQueryStrategy().select_streamed([block], 1) == [0]
+        assert len(RandomQueryStrategy().select_streamed([block], 1)) == 1
+
+    def test_conflict_codes_of_wrong_length_refused(self):
+        left, right = user_codes(PAIRS)
+        block = ScoredBlock(
+            pairs=PAIRS,
+            scores=np.ones(4),
+            labels=np.zeros(4),
+            queryable=np.ones(4, dtype=bool),
+            left_codes=left[:3],
+            right_codes=right,
+        )
+        with pytest.raises(ReproError, match="user codes"):
+            ConflictFalseNegativeStrategy().select_streamed([block], 1)
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            ConflictFalseNegativeStrategy(),
+            ConflictFalseNegativeStrategy(allow_fallback=False),
+            MarginQueryStrategy(),
+            RandomQueryStrategy(seed=3),
+        ],
+        ids=["conflict", "conflict-strict", "margin", "random"],
+    )
+    def test_picks_are_plain_ints(self, strategy):
+        pairs, scores, labels, queryable = self._rig()
+        picks = strategy.select(pairs, scores, labels, queryable, 5)
+        streamed = strategy.select_streamed(
+            _blockify_inputs(pairs, scores, labels, queryable, 7), 5
+        )
+        assert picks and streamed
+        assert all(type(pick) is int for pick in picks + streamed)
 
     def test_conflicts_across_block_boundaries(self):
         """A positive in one block must rank negatives in another."""

@@ -32,6 +32,15 @@ class TestAlignmentTask:
         with pytest.raises(ModelError):
             task.index_of(("z", "z"))
 
+    def test_scored_block_carries_cached_user_codes(self):
+        task = _task()
+        ones = np.ones(4)
+        (block,) = task.scored_blocks(ones, ones, ones.astype(bool))
+        assert block.left_codes.tolist() == [0, 0, 1, 1]
+        assert block.right_codes.tolist() == [0, 1, 0, 1]
+        (again,) = task.scored_blocks(ones, ones, ones.astype(bool))
+        assert again.left_codes is block.left_codes
+
     def test_validation_x_shape(self):
         with pytest.raises(ModelError):
             AlignmentTask(

@@ -24,6 +24,7 @@ from repro.engine import (
 from repro.engine.streaming import _AUTO_MAX_BLOCK, _AUTO_MIN_BLOCK
 from repro.eval.protocol import ProtocolConfig, build_splits
 from repro.exceptions import ModelError
+from repro.matching.constraints import user_codes
 
 
 def _split_for(pair, np_ratio=5, seed=13):
@@ -150,6 +151,28 @@ class TestStreamedTask:
         assert [block.offset for block in blocks] == [0, 4, 8]
         recomposed = np.concatenate([block.scores for block in blocks])
         assert np.array_equal(recomposed, scores)
+
+    def test_scored_blocks_slice_stream_wide_user_codes(self, handmade_pair):
+        session = AlignmentSession(handmade_pair)
+        pairs = [
+            (u, v)
+            for u in handmade_pair.left_users()
+            for v in handmade_pair.right_users()
+        ]
+        task = StreamedAlignmentTask(
+            session, blockify(pairs, 4), np.zeros(0, int), np.zeros(0, int)
+        )
+        ones = np.ones(len(pairs))
+        blocks = list(task.scored_blocks(ones, ones, ones.astype(bool)))
+        left, right = user_codes(pairs)
+        assert np.array_equal(
+            np.concatenate([block.left_codes for block in blocks]), left
+        )
+        assert np.array_equal(
+            np.concatenate([block.right_codes for block in blocks]), right
+        )
+        again = next(task.scored_blocks(ones, ones, ones.astype(bool)))
+        assert np.shares_memory(again.left_codes, blocks[0].left_codes)
 
 
 class TestAutoBlockSize:

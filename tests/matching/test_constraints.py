@@ -10,6 +10,7 @@ from repro.matching.constraints import (
     degree_vectors,
     incidence_matrices,
     satisfies_one_to_one,
+    user_codes,
 )
 
 PAIRS = [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"), ("c", "z")]
@@ -81,3 +82,28 @@ class TestConflictingIndices:
         for i, neighbors in enumerate(conflicts):
             for j in neighbors:
                 assert i in conflicts[j]
+
+
+class TestUserCodes:
+    def test_first_appearance_order(self):
+        left, right = user_codes([("b", "y"), ("a", "x"), ("b", "z")])
+        assert left.tolist() == [0, 1, 0]
+        assert right.tolist() == [0, 1, 2]
+        assert left.dtype == right.dtype == np.int64
+
+    def test_shared_users_share_codes(self):
+        left, right = user_codes(PAIRS)
+        conflicts = conflicting_indices(PAIRS)
+        for i in range(len(PAIRS)):
+            sharing = np.flatnonzero((left == left[i]) | (right == right[i]))
+            assert sorted(set(sharing.tolist()) - {i}) == conflicts[i]
+
+    def test_sides_are_numbered_separately(self):
+        left, right = user_codes([("a", "a"), ("b", "a")])
+        assert left.tolist() == [0, 1]
+        assert right.tolist() == [0, 0]
+
+    def test_empty(self):
+        left, right = user_codes([])
+        assert left.shape == right.shape == (0,)
+        assert left.dtype == right.dtype == np.int64
