@@ -38,7 +38,9 @@ checkpoints, then asserts that ``compact()`` + pruned history shrinks
 the combined checkpoint+arena disk footprint below its pre-compaction
 size.
 
-Smoke mode (CI): ``ENGINE_EVOLVE_SCALE=small ENGINE_EVOLVE_EXACT_ONLY=1``.
+CI runs the full benchmark at ``large``, speedup gates included.
+Smoke mode, for a quick local exactness check:
+``ENGINE_EVOLVE_SCALE=small ENGINE_EVOLVE_EXACT_ONLY=1``.
 """
 
 import hashlib

@@ -51,10 +51,12 @@ from repro.meta.algebra import (
     expr_shape,
     pad_csr,
 )
+from repro.meta.proximity import csr_lookup
 
 __all__ = [
     "DeltaEvaluator",
     "apply_delta",
+    "csr_rows",
     "entries_to_csr",
     "leaf_occurrences",
     "pad_csr",
@@ -88,6 +90,13 @@ def entries_to_csr(
     delta.eliminate_zeros()
     delta.sort_indices()
     return delta
+
+
+def csr_rows(matrix: sparse.csr_matrix) -> np.ndarray:
+    """Row index of every stored entry of a CSR matrix, in storage order."""
+    return np.repeat(
+        np.arange(matrix.shape[0], dtype=np.int64), np.diff(matrix.indptr)
+    )
 
 
 def leaf_occurrences(expr: Expr, name: str) -> int:
@@ -150,7 +159,11 @@ class DeltaEvaluator:
     ``old(prefix) @ Δ(segment) @ new(suffix)``; a Parallel's change is
     the analogous Hadamard telescoping, evaluated by targeted lookups
     at exactly the delta entries (the product's support is contained in
-    the delta branch's support).  Each instance memoizes per
+    the delta branch's support).  Lookups are per-row searches on
+    canonical CSR matrices (:func:`~repro.meta.proximity.csr_lookup`):
+    nothing is preprocessed per probed matrix and nothing is sorted in
+    place, so concurrent structure evaluations may share cached
+    values.  Each instance memoizes per
     sub-expression, so shared anchored sub-chains are evaluated once
     per update.
     """
@@ -192,13 +205,6 @@ class DeltaEvaluator:
         self._expr_memo: Dict[str, Expr] = {}
         self._value_memo: Dict[str, sparse.csr_matrix] = {}
         self._new_memo: Dict[str, Tuple[Expr, sparse.csr_matrix]] = {}
-        # Sorted linearized entry keys per branch value, reused across
-        # the many Parallel lookups that probe the same branch.  The
-        # matrix is stored alongside its keys: the id() key is only
-        # unique while the object is alive, so the memo must keep it so.
-        self._entry_keys_memo: Dict[
-            int, Tuple[sparse.csr_matrix, np.ndarray]
-        ] = {}
 
     @property
     def names(self) -> frozenset:
@@ -316,32 +322,31 @@ class DeltaEvaluator:
 
         Each term's support is contained in its delta branch's support,
         so instead of scipy's O(nnz(static)) elementwise multiplies the
-        sibling branches' values are read at exactly the delta entries —
-        O(m log nnz) for an m-entry branch delta.  Branches left of the
-        delta branch contribute old values, branches right of it new
-        values, which telescopes exactly to ``new(∘) - old(∘)``.
+        sibling branches' values are read at exactly the delta entries:
+        a per-row search of each canonical CSR sibling, with no
+        per-matrix preprocessing and no in-place sorting.  Branches left
+        of the delta branch contribute old values, branches right of it
+        new values, which telescopes exactly to ``new(∘) - old(∘)``.
+        Each term is built on the delta branch's own sparsity pattern.
         """
         branches = expr.branches
         changes = [self._delta(branch) for branch in branches]
         terms = []
         for i, (branch, change) in enumerate(zip(branches, changes)):
-            if change is None:
+            if change is None or change.nnz == 0:
                 continue
-            part = change.tocoo()
-            if part.nnz == 0:
-                continue
-            data = part.data.astype(np.float64, copy=True)
+            rows, cols = csr_rows(change), change.indices
+            data = change.data.astype(np.float64, copy=True)
             for j, other in enumerate(branches):
                 if j == i:
                     continue
-                values = self._lookup_old(other, part.row, part.col)
+                values = self._lookup_old(other, rows, cols)
                 if j > i and changes[j] is not None:
-                    values = values + self._values_at(
-                        changes[j], part.row, part.col
-                    )
+                    values = values + csr_lookup(changes[j], rows, cols)
                 data *= values
             term = sparse.csr_matrix(
-                (data, (part.row, part.col)), shape=self._shape(expr)
+                (data, cols.copy(), change.indptr.copy()),
+                shape=self._shape(expr),
             )
             terms.append(term)
         return self._sum_terms(terms)
@@ -358,7 +363,7 @@ class DeltaEvaluator:
         """
         component_view = self._engine.components(expr)
         if component_view is None:
-            return self._values_at(self._old(expr), rows, cols)
+            return csr_lookup(self._old(expr), rows, cols)
         base, pending = component_view
         values = self._masked_values_at(base, rows, cols)
         for change in pending:
@@ -371,33 +376,10 @@ class DeltaEvaluator:
         """Entry lookup tolerating positions beyond the matrix's shape."""
         inside = (rows < matrix.shape[0]) & (cols < matrix.shape[1])
         if inside.all():
-            return self._values_at(matrix, rows, cols)
+            return csr_lookup(matrix, rows, cols)
         values = np.zeros(rows.size, dtype=np.float64)
-        values[inside] = self._values_at(matrix, rows[inside], cols[inside])
+        values[inside] = csr_lookup(matrix, rows[inside], cols[inside])
         return values
-
-    def _values_at(
-        self, matrix: sparse.csr_matrix, rows: np.ndarray, cols: np.ndarray
-    ) -> np.ndarray:
-        """Targeted entry lookup with per-matrix entry-key caching."""
-        from repro.meta.proximity import csr_values_at
-
-        cache_key = id(matrix)
-        memoized = self._entry_keys_memo.get(cache_key)
-        if memoized is None or memoized[0] is not matrix:
-            matrix.sort_indices()
-            row_lengths = np.diff(matrix.indptr)
-            entry_keys = (
-                np.repeat(
-                    np.arange(matrix.shape[0], dtype=np.int64), row_lengths
-                )
-                * matrix.shape[1]
-                + matrix.indices
-            )
-            self._entry_keys_memo[cache_key] = (matrix, entry_keys)
-        else:
-            entry_keys = memoized[1]
-        return csr_values_at(matrix, rows, cols, entry_keys=entry_keys)
 
     @staticmethod
     def _sum_terms(terms) -> Optional[sparse.csr_matrix]:

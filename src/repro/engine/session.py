@@ -47,6 +47,7 @@ from scipy import sparse
 from repro.engine.incremental import (
     DeltaEvaluator,
     apply_delta,
+    csr_rows,
     entries_to_csr,
     pad_csr,
     supports_delta,
@@ -209,7 +210,10 @@ class _Structure:
     ``pending`` holds delta count matrices that have been applied to
     the sums and the candidate views but not yet folded into ``counts``
     — the active loop scores through views only, so the O(nnz) sparse
-    addition is deferred until someone actually reads the counts.
+    addition is deferred until someone actually reads the counts.  Each
+    change keeps the shape it was computed at; network growth pads only
+    ``counts`` and the sums, and a change is padded when it is folded
+    or exported.
     """
 
     name: str
@@ -272,11 +276,14 @@ class _CandidateView:
     ) -> np.ndarray:
         starts = np.searchsorted(sorted_values, wanted, side="left")
         ends = np.searchsorted(sorted_values, wanted, side="right")
-        if not len(starts):
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate(
-            [order[start:end] for start, end in zip(starts, ends)]
-        )
+        return order[_ranges(starts, ends)]
+
+
+def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, e) for s, e in zip(starts, ends)])``."""
+    lengths = ends - starts
+    offsets = starts - np.cumsum(lengths) + lengths
+    return np.repeat(offsets, lengths) + np.arange(lengths.sum())
 
 
 class AlignmentSession:
@@ -590,7 +597,7 @@ class AlignmentSession:
             elif structure.pending:
                 counts = structure.counts
                 for change in structure.pending:
-                    counts = apply_delta(counts, change)
+                    counts = apply_delta(counts, pad_csr(change, counts.shape))
                 # Canonicalize before publishing so concurrent batched
                 # lookups never race an in-place index sort.
                 counts.sort_indices()
@@ -774,25 +781,28 @@ class AlignmentSession:
                 view.dirty.pop(structure.name, None)
 
     def _apply_structure_delta(
-        self, structure: _Structure, change: sparse.csr_matrix
+        self,
+        structure: _Structure,
+        change: sparse.csr_matrix,
+        rows: np.ndarray,
     ) -> None:
-        """Exact sparse update of one structure's cached state."""
+        """Exact sparse update of one structure's cached state.
+
+        ``rows`` holds the row of every stored entry of ``change``.
+        """
         if change.nnz == 0:
             return
         structure.pending.append(change)
-        coo = change.tocoo()
         row_sums = structure.row_sums.copy()
-        np.add.at(row_sums, coo.row, coo.data)
+        np.add.at(row_sums, rows, change.data)
         structure.row_sums = row_sums
         col_sums = structure.col_sums.copy()
-        np.add.at(col_sums, coo.col, coo.data)
+        np.add.at(col_sums, change.indices, change.data)
         structure.col_sums = col_sums
         structure.proximity = None  # rebuilt lazily from updated counts
-        change_keys = (
-            coo.row.astype(np.int64) * change.shape[1] + coo.col
-        )
-        changed_rows = np.unique(coo.row.astype(np.int64))
-        changed_cols = np.unique(coo.col.astype(np.int64))
+        change_keys = rows * change.shape[1] + change.indices
+        changed_rows = np.unique(rows)
+        changed_cols = np.unique(change.indices.astype(np.int64))
         with self._state_lock:
             for view in self._views.values():
                 values = view.values.get(structure.name)
@@ -803,9 +813,11 @@ class AlignmentSession:
                 # each delta key, honoring duplicate candidate pairs.
                 starts = np.searchsorted(view.keys_sorted, change_keys, "left")
                 ends = np.searchsorted(view.keys_sorted, change_keys, "right")
-                for start, end, amount in zip(starts, ends, coo.data):
-                    if start < end:
-                        values[view.key_order[start:end]] += amount
+                np.add.at(
+                    values,
+                    view.key_order[_ranges(starts, ends)],
+                    np.repeat(change.data, ends - starts),
+                )
                 # Scores change wherever a row or column sum changed.
                 affected = np.concatenate(
                     [
@@ -1425,10 +1437,10 @@ class AlignmentSession:
             dirty_rows: List[np.ndarray] = []
             dirty_cols: List[np.ndarray] = []
             for structure, change in zip(delta_structures, changes):
-                self._apply_structure_delta(structure, change)
-                coo = change.tocoo()
-                dirty_rows.append(coo.row.astype(np.int64))
-                dirty_cols.append(coo.col.astype(np.int64))
+                rows = csr_rows(change)
+                self._apply_structure_delta(structure, change, rows)
+                dirty_rows.append(rows)
+                dirty_cols.append(change.indices.astype(np.int64))
             if invalidated_visible:
                 self._record_dirty(everything=True)
             else:
@@ -1448,9 +1460,6 @@ class AlignmentSession:
             if structure.counts is None or structure.counts.shape == shape:
                 return
             structure.counts = pad_csr(structure.counts, shape)
-            structure.pending = [
-                pad_csr(change, shape) for change in structure.pending
-            ]
             structure.row_sums = np.concatenate(
                 [
                     structure.row_sums,
@@ -1753,7 +1762,8 @@ class AlignmentSession:
         """Picklable snapshot of all anchor- and network-derived state.
 
         Captures the known anchor set, every structure's folded counts,
-        row/column sums and still-pending deltas, the work counters,
+        row/column sums and still-pending deltas (each padded to its
+        structure's count shape), the work counters,
         and the **evolution log** — every network delta applied through
         this session, so a restore replays the same growth onto a
         freshly built pair byte-identically.  Candidate views are *not*
@@ -1783,7 +1793,9 @@ class AlignmentSession:
                         else None
                     ),
                     "pending": [
-                        sparse.csr_matrix(change, copy=True)
+                        sparse.csr_matrix(
+                            pad_csr(change, structure.counts.shape), copy=True
+                        )
                         for change in structure.pending
                     ],
                 }

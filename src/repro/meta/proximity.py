@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse._sparsetools import csr_sample_values
 
 from repro.exceptions import FeatureError
 
@@ -162,3 +163,41 @@ def csr_values_at(
     hits[inside] = entry_keys[positions[inside]] == query_keys[inside]
     values[hits] = matrix.data[positions[hits]]
     return values
+
+
+def csr_lookup(
+    matrix: sparse.csr_matrix, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """Batch-read ``matrix[rows[k], cols[k]]`` as float64, zeros where absent.
+
+    Runs scipy's compiled per-row sample kernel — the one behind
+    ``matrix[rows, cols]`` — without the Python-level index handling:
+    each probe searches only its own row of the CSR matrix, so no
+    per-matrix keys are built and the matrix is never mutated (safe on
+    matrices shared across threads).  Positions must lie inside
+    ``matrix.shape``.
+    """
+    index_dtype = matrix.indices.dtype
+    rows = np.asarray(rows).astype(index_dtype, copy=False)
+    cols = np.asarray(cols).astype(index_dtype, copy=False)
+    n_rows, n_cols = matrix.shape
+    if rows.size and (
+        rows.min() < 0
+        or cols.min() < 0
+        or rows.max() >= n_rows
+        or cols.max() >= n_cols
+    ):
+        raise IndexError(f"lookup position outside a {matrix.shape} matrix")
+    values = np.empty(rows.size, dtype=matrix.data.dtype)
+    csr_sample_values(
+        n_rows,
+        n_cols,
+        matrix.indptr,
+        matrix.indices,
+        matrix.data,
+        rows.size,
+        rows,
+        cols,
+        values,
+    )
+    return values.astype(np.float64, copy=False)

@@ -264,6 +264,82 @@ class TestApplyNetworkDelta:
             session.load_state_dict(state)
 
 
+class TestLazyPendingShapes:
+    """Unfolded changes keep their own shape across growth events.
+
+    Growth pads only the folded counts and the sums; a pending change
+    is padded when it is folded or exported.  Three growth events with
+    anchor updates between them and no extraction leave changes of
+    several shapes pending, and every read must still equal a full
+    recount over an independently mutated pair.
+    """
+
+    def _grown_session(self):
+        from repro.datasets import foursquare_twitter_like
+
+        pair = foursquare_twitter_like("tiny", seed=11)
+        oracle_pair = foursquare_twitter_like("tiny", seed=11)
+        anchors = sorted(pair.anchors, key=repr)
+        known = anchors[:4]
+        pairs = _candidates(pair)
+        session = AlignmentSession(pair, known_anchors=known)
+        session.extract(pairs)  # materializes counts and one view
+        for step in range(3):
+            for side in ("left", "right"):
+                delta = _grow_delta(pair, side, tag=f"lazy{step}")
+                assert session.apply_network_delta(delta)
+                oracle_pair.apply_delta(delta)
+            known = known + [anchors[4 + step]]
+            assert session.set_anchors(known)
+        grown = [
+            (u, v)
+            for u in pair.left_users()[-4:]
+            for v in pair.right_users()[-4:]
+        ]
+        return session, oracle_pair, known, pairs + grown
+
+    def test_pending_changes_keep_their_shape(self):
+        session, _, _, _ = self._grown_session()
+        smaller = [
+            change.shape
+            for structure in session._structures
+            for change in structure.pending
+            if change.shape != structure.counts.shape
+        ]
+        assert smaller
+        for structure in session._structures:
+            for change in structure.pending:
+                assert change.shape[0] <= structure.counts.shape[0]
+                assert change.shape[1] <= structure.counts.shape[1]
+
+    def test_reads_match_full_recount(self):
+        session, oracle_pair, known, pairs = self._grown_session()
+        scratch = AlignmentSession(oracle_pair, known_anchors=known)
+        expected = scratch.structure_counts()
+        for name, counts in session.structure_counts().items():
+            assert counts.shape == expected[name].shape
+            assert (counts != expected[name]).nnz == 0, name
+        assert np.array_equal(session.extract(pairs), scratch.extract(pairs))
+
+    def test_state_exports_pending_at_counts_shape_and_reloads(self):
+        from repro.datasets import foursquare_twitter_like
+
+        session, _, _, pairs = self._grown_session()
+        state = session.state_dict()
+        exported = 0
+        for snapshot in state["structures"].values():
+            for change in snapshot["pending"]:
+                assert change.shape == snapshot["counts"].shape
+                exported += 1
+        assert exported
+        fresh = foursquare_twitter_like("tiny", seed=11)
+        restored = AlignmentSession(
+            fresh, known_anchors=sorted(fresh.anchors, key=repr)[:4]
+        )
+        restored.load_state_dict(state)
+        assert np.array_equal(restored.extract(pairs), session.extract(pairs))
+
+
 class TestRepeatedAnchorLeafFamily:
     """Anchor deltas on expressions that repeat the anchor leaf.
 

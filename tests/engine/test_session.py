@@ -172,6 +172,17 @@ class TestCandidateViews:
         session.extract(pairs)
         assert len(session._views) == 1
 
+    def test_ranges_match_loop_reference(self):
+        """The vectorized range concatenation behind view patching."""
+        from repro.engine.session import _ranges
+
+        rng = np.random.default_rng(3)
+        for size in [0, 1, 2, 5, 12, 12, 12]:
+            starts = rng.integers(0, 50, size=size)
+            ends = starts + rng.integers(0, 4, size=size)
+            expected = [i for s, e in zip(starts, ends) for i in range(s, e)]
+            assert _ranges(starts, ends).tolist() == expected
+
 
 class TestFallbackObservability:
     def test_fold_switch_counts_fallback_invalidations(
